@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"apichecker/internal/core"
+	"apichecker/internal/journal"
 )
 
 // Registry errors.
@@ -113,10 +114,10 @@ func (r *Registry) Put(a *Artifact, m Manifest) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("modelstore: manifest: %w", err)
 	}
-	if err := atomicWrite(r.artifactPath(dig), data); err != nil {
+	if err := journal.WriteFile(r.artifactPath(dig), data); err != nil {
 		return "", err
 	}
-	if err := atomicWrite(r.manifestPath(dig), append(mdata, '\n')); err != nil {
+	if err := journal.WriteFile(r.manifestPath(dig), append(mdata, '\n')); err != nil {
 		return "", err
 	}
 	return dig, nil
@@ -128,7 +129,7 @@ func (r *Registry) SetCurrent(digest string) error {
 	if _, err := os.Stat(r.artifactPath(digest)); err != nil {
 		return fmt.Errorf("%w: %s", ErrNotFound, digest)
 	}
-	return atomicWrite(filepath.Join(r.dir, "CURRENT"), []byte(digest+"\n"))
+	return journal.WriteFile(filepath.Join(r.dir, "CURRENT"), []byte(digest+"\n"))
 }
 
 // CurrentDigest returns the serving generation's digest, or ErrNoCurrent.
@@ -233,26 +234,4 @@ func (r *Registry) List() ([]Manifest, error) {
 		return out[i].Digest < out[j].Digest
 	})
 	return out, nil
-}
-
-// atomicWrite writes data to path via a temp file + rename in the same
-// directory, so readers never observe a partial file.
-func atomicWrite(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("modelstore: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("modelstore: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("modelstore: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("modelstore: %w", err)
-	}
-	return nil
 }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"apichecker/internal/journal"
 )
 
 func openCollect(t *testing.T, dir, genKey string, epoch uint64) (*PersistLog, map[string][]byte, int, int) {
@@ -261,5 +263,35 @@ func TestPersistCorruptHeaderStartsFresh(t *testing.T) {
 	_, got, restored, _ = openCollect(t, dir, "model:abc", 0)
 	if restored != 1 || string(got["k"]) != "v" {
 		t.Fatalf("fresh log after garbage unusable: %v", got)
+	}
+}
+
+// TestPersistMalformedRecordSkipped feeds CRC-valid bodies the codec cannot
+// decode: each ends replay as one skipped record, after the good record
+// before it.
+func TestPersistMalformedRecordSkipped(t *testing.T) {
+	for name, body := range map[string][]byte{
+		"key-past-end": recordHead("key")[:6],
+		"short-keylen": {3, 0},
+		"empty":        {},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			j, _, err := journal.Open(filepath.Join(dir, persistFile), persistMagic+"model:abc", func([]byte) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range [][]byte{append(recordHead("good"), "intact"...), body} {
+				if err := j.Append(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			j.Close()
+			p, got, restored, skipped := openCollect(t, dir, "model:abc", 0)
+			p.Close()
+			if restored != 1 || skipped != 1 || string(got["good"]) != "intact" {
+				t.Fatalf("restored=%d skipped=%d got=%v, want the one good entry and 1 skipped", restored, skipped, got)
+			}
+		})
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"apichecker/internal/journal"
 	"apichecker/internal/obs"
 )
 
@@ -284,13 +285,14 @@ type Queue struct {
 	released bool   // Close called: journal shut, claims report ErrClosed
 	waiters  int    // Claims blocked on wake (pulses are skipped at zero)
 	wake     chan struct{}
-	log      *qlog
+	log      *journal.Log
 	nextSeq  int64 // internal counter when cfg.NextSeq == nil
 	maxSeq   int64 // highest seq the journal had recorded at Open
 
 	depth, leased                                      *obs.Gauge
 	enqueued, acked, nacked, reclaimed, replayed, dead *obs.Counter
 	replaySkipped                                      *obs.Counter
+	appendErrors, compactions, compactErrors           *obs.Counter
 	leaseAge                                           *obs.Distribution
 }
 
@@ -331,6 +333,12 @@ func Open(cfg Config) (*Queue, []Item, error) {
 		// Torn/corrupt journal records dropped at replay: previously only
 		// returned from openLog (and dropped), now a first-class counter.
 		replaySkipped: col.Counter("workqueue.replay_skipped"),
+		// Settle appends and compactions fail without failing the queue
+		// (a lost settle only re-vets the item after a restart), so their
+		// outcomes are counted where /metrics shows them.
+		appendErrors:  col.Counter("workqueue.journal.append_errors"),
+		compactions:   col.Counter("workqueue.journal.compactions"),
+		compactErrors: col.Counter("workqueue.journal.compact_errors"),
 	}
 	for i := 0; i < cfg.Capacity; i++ {
 		q.slots <- struct{}{}
@@ -420,10 +428,10 @@ func (q *Queue) Enqueue(it Item) (int64, error) {
 	it.Attempts = 0
 	it.EnqueuedAt = q.now()
 	if q.log != nil && it.Payload != nil {
-		if err := q.log.appendEnqueue(it); err != nil {
+		if err := q.log.Append(enqueueHead(it), it.Payload); err != nil {
 			q.mu.Unlock()
 			q.Release()
-			return 0, err
+			return 0, fmt.Errorf("workqueue: %w", err)
 		}
 	}
 	q.insertLocked(it)
@@ -647,9 +655,7 @@ type deadItem struct {
 // item was leased, and the lease's slot was already released at claim.
 func (q *Queue) settleDeadLocked(it Item, cause error) deadItem {
 	q.dead.Inc()
-	if q.log != nil && it.Payload != nil {
-		q.log.appendSettle(it.Seq, q.liveLocked)
-	}
+	q.journalSettleLocked(it)
 	return deadItem{item: it, cause: cause}
 }
 
@@ -713,11 +719,11 @@ func (q *Queue) Shutdown() {
 // point: the next Open replays them.
 func (q *Queue) Close() error {
 	q.mu.Lock()
-	q.closed, q.released = true, true
 	var err error
-	if q.log != nil {
-		err = q.log.close()
+	if q.log != nil && !q.released {
+		err = q.log.Close()
 	}
+	q.closed, q.released = true, true
 	q.pulseLocked()
 	q.mu.Unlock()
 	return err
@@ -781,9 +787,7 @@ func (l *Lease) Ack() error {
 	q.leased.Set(int64(len(q.leases)))
 	q.leaseAge.Observe(q.now().Sub(ls.leasedAt).Seconds())
 	q.acked.Inc()
-	if q.log != nil && l.item.Payload != nil {
-		q.log.appendSettle(l.item.Seq, q.liveLocked)
-	}
+	q.journalSettleLocked(l.item)
 	q.pulseLocked()
 	q.mu.Unlock()
 	return nil

@@ -9,6 +9,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"apichecker/internal/journal"
+	"apichecker/internal/obs"
 )
 
 // fakeClock is an injectable queue clock.
@@ -385,6 +388,62 @@ func TestJournalCompactionBoundsFileSize(t *testing.T) {
 	}
 	if fi.Size() > 2<<20 {
 		t.Fatalf("journal never compacted: %d bytes after 3 MiB of settled traffic", fi.Size())
+	}
+	if q.compactions.Load() == 0 || q.compactErrors.Load() != 0 {
+		t.Fatalf("compactions = %d, compact errors = %d; want > 0 and 0", q.compactions.Load(), q.compactErrors.Load())
+	}
+}
+
+func TestSettleAppendFailureCounted(t *testing.T) {
+	col := obs.NewCollector()
+	q, _ := mustOpen(t, Config{Capacity: 2, Dir: t.TempDir(), Obs: col})
+	defer q.Close()
+	enqueue(t, q, Item{Payload: []byte("apk")})
+	l := claim(t, q)
+	// Close the journal's file under the queue: the settle append fails.
+	q.mu.Lock()
+	q.log.Close()
+	q.mu.Unlock()
+	if err := l.Ack(); err != nil {
+		t.Fatalf("ack with a failing journal = %v, want nil", err)
+	}
+	if got := col.Counter("workqueue.journal.append_errors").Load(); got != 1 {
+		t.Fatalf("workqueue.journal.append_errors = %d, want 1", got)
+	}
+}
+
+// TestMalformedRecordSkipped feeds CRC-valid bodies the codec cannot decode:
+// each ends replay as one skipped record, after the good record before it.
+func TestMalformedRecordSkipped(t *testing.T) {
+	for name, body := range map[string][]byte{
+		"key-past-end":  enqueueHead(Item{Seq: 2, Key: "key"})[:enqueueFixed+2],
+		"unknown-kind":  append([]byte{9}, encodeSettle(2)[1:]...),
+		"settle-extra":  append(encodeSettle(2), 0),
+		"short-seq":     {recSettle, 2, 0},
+		"short-enqueue": enqueueHead(Item{Seq: 2})[:enqueueFixed-1],
+		"empty":         {},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			j, _, err := journal.Open(filepath.Join(dir, logFile), logMagic, func([]byte) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range [][]byte{append(enqueueHead(Item{Seq: 1, Key: "ok"}), "good"...), body} {
+				if err := j.Append(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			j.Close()
+			q, replayed := mustOpen(t, Config{Capacity: 4, Dir: dir})
+			defer q.Close()
+			if len(replayed) != 1 || string(replayed[0].Payload) != "good" {
+				t.Fatalf("replayed %+v, want the one good item", replayed)
+			}
+			if got := q.Stats().ReplaySkipped; got != 1 {
+				t.Fatalf("ReplaySkipped = %d, want 1", got)
+			}
+		})
 	}
 }
 
