@@ -12,8 +12,15 @@
 //   - POST /v1/cluster/claim — long-poll for the lowest-seq pending
 //     submission this node may take (digest-affinity routing: repeat
 //     submissions land on the node whose verdict cache already holds
-//     them). The response carries the raw archive bytes, the lease
-//     token + TTL, and the coordinator's current model digest.
+//     them). The 200 response is a claim frame, not JSON:
+//     u32 big-endian metaLen | meta | payload, where meta is the JSON
+//     claimResponse (seq, lease token + TTL, the coordinator's current
+//     model digest, ...) and payload is the raw archive bytes, not
+//     encoded; the worker vets them in place in its one read buffer. A
+//     drained answer is a frame with meta only. Coordinator and workers upgrade together: the
+//     frame has no version negotiation and no JSON fallback, so an older
+//     worker fails to decode a claim, backs off, and the lease TTL
+//     reclaims the item.
 //   - POST /v1/cluster/heartbeat — extend the lease mid-emulation;
 //     410 means the lease was reclaimed and the node must abandon the
 //     vet (workqueue.ErrLeaseLost semantics, over the wire).
@@ -28,6 +35,9 @@
 //     addressed, so a stale node hot-swaps to the advertised generation
 //     before vetting. No node ever serves a stale generation.
 //
+// Every other body — the claim request, heartbeat, ack and nack — is
+// small JSON, bounded by maxRequestBody on the coordinator (413 past it).
+//
 // Bit-identity discipline: verdicts derive from submission content
 // alone, the coordinator pins sequence numbers at admission, and the
 // first-wins record absorbs at-least-once delivery — so N remote nodes
@@ -36,9 +46,15 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"strconv"
 
+	"apichecker/internal/apk"
 	"apichecker/internal/core"
 	"apichecker/internal/vcache"
 )
@@ -71,7 +87,7 @@ type claimResponse struct {
 
 	Seq      int64  `json:"seq"`
 	Key      string `json:"key,omitempty"` // content digest
-	Payload  []byte `json:"payload"`       // raw archive bytes (base64 on the wire)
+	Payload  []byte `json:"-"`             // raw archive bytes (the frame's tail)
 	Attempts int    `json:"attempts"`
 
 	// Token is the lease token; every heartbeat/ack/nack must echo it.
@@ -88,6 +104,81 @@ type claimResponse struct {
 	// Generation is the coordinator's generation swap counter (logging
 	// aid; verdict identity rides the digest).
 	Generation uint64 `json:"generation"`
+}
+
+// Claim frame bounds. The payload bound is the apk decode bound, which is
+// also the gateway's default upload bound, so no admitted archive is
+// refused on the wire.
+const (
+	claimContentType = "application/vnd.apichecker.claim"
+	maxClaimMeta     = 64 << 10
+	maxClaimFrame    = 4 + maxClaimMeta + apk.MaxDecodedBytes
+)
+
+// maxRequestBody bounds every coordinator request body (claim request,
+// heartbeat, ack, nack): the largest, an ack, carries one verdict and an
+// error string.
+const maxRequestBody = 1 << 20
+
+// writeClaim answers 200 with cl as one claim frame:
+// u32 big-endian metaLen | meta JSON | raw payload. The explicit
+// Content-Length keeps the body unchunked, and the payload goes out as
+// its own write, neither encoded nor copied.
+func writeClaim(w http.ResponseWriter, cl *claimResponse) {
+	meta, err := json.Marshal(cl)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "encoding claim: "+err.Error())
+		return
+	}
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(meta)))
+	h := w.Header()
+	h.Set("Content-Type", claimContentType)
+	h.Set("Content-Length", strconv.Itoa(len(hdr)+len(meta)+len(cl.Payload)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(hdr[:])
+	w.Write(meta)
+	w.Write(cl.Payload)
+}
+
+// readClaim decodes a 200 claim response. The body is read once into a
+// buffer of exactly Content-Length bytes, and Payload is a subslice of
+// it. Anything that is not a well-formed frame within the bounds is an
+// error: a wrong content type, a missing or oversized length, a meta
+// length past the cap or the body, bad meta JSON, or a work claim with
+// no payload (the coordinator never ships memory-only items).
+func readClaim(resp *http.Response) (*claimResponse, error) {
+	if ct := resp.Header.Get("Content-Type"); ct != claimContentType {
+		return nil, fmt.Errorf("cluster: claim content type %q, want %q", ct, claimContentType)
+	}
+	n := resp.ContentLength
+	switch {
+	case n < 0:
+		return nil, errors.New("cluster: claim frame without Content-Length")
+	case n < 4:
+		return nil, fmt.Errorf("cluster: claim frame of %d bytes is shorter than its header", n)
+	case n > maxClaimFrame:
+		return nil, fmt.Errorf("cluster: claim frame of %d bytes exceeds the %d-byte bound", n, maxClaimFrame)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, buf); err != nil {
+		return nil, fmt.Errorf("cluster: reading claim frame: %w", err)
+	}
+	metaLen := int64(binary.BigEndian.Uint32(buf))
+	if metaLen > maxClaimMeta || metaLen > n-4 {
+		return nil, fmt.Errorf("cluster: claim meta length %d out of bounds (frame %d bytes)", metaLen, n)
+	}
+	var cl claimResponse
+	if err := json.Unmarshal(buf[4:4+metaLen], &cl); err != nil {
+		return nil, fmt.Errorf("cluster: decoding claim meta: %w", err)
+	}
+	if rest := buf[4+metaLen:]; len(rest) > 0 {
+		cl.Payload = rest
+	}
+	if !cl.Drained && len(cl.Payload) == 0 {
+		return nil, fmt.Errorf("cluster: claim for seq %d carries no payload", cl.Seq)
+	}
+	return &cl, nil
 }
 
 // leaseRequest is the heartbeat/nack body.

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -227,31 +228,159 @@ func TestClusterMatchesSerialVet(t *testing.T) {
 	}
 }
 
+// postJSON sends one JSON body to a coordinator path; the caller closes
+// the response.
+func postJSON(t *testing.T, url string, body any) *http.Response {
+	t.Helper()
+	data, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// claimFrame posts one claim as node and decodes the frame, checking the
+// headers every claim response carries.
+func claimFrame(t *testing.T, baseURL, node string) *cluster.ClaimResponse {
+	t.Helper()
+	resp := postJSON(t, baseURL+cluster.PathClaim, map[string]any{"node": node, "wait_ms": 2000})
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("claim: status %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/vnd.apichecker.claim" {
+		t.Fatalf("claim Content-Type = %q", ct)
+	}
+	if resp.ContentLength <= 0 || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("claim not sized: Content-Length %d, Transfer-Encoding %v", resp.ContentLength, resp.TransferEncoding)
+	}
+	cl, err := cluster.ReadClaim(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
 // zombieClaim takes one claim over the wire as a node that will never
 // heartbeat, ack, or nack — a worker killed mid-emulation.
 func zombieClaim(t *testing.T, baseURL string) (seq int64) {
 	t.Helper()
-	body, _ := json.Marshal(map[string]any{"node": "zombie", "wait_ms": 2000})
-	resp, err := http.Post(baseURL+cluster.PathClaim, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("zombie claim: status %d", resp.StatusCode)
-	}
-	var cl struct {
-		Seq     int64  `json:"seq"`
-		Token   uint64 `json:"token"`
-		Payload []byte `json:"payload"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&cl); err != nil {
-		t.Fatal(err)
-	}
+	cl := claimFrame(t, baseURL, "zombie")
 	if len(cl.Payload) == 0 {
 		t.Fatal("zombie claim carried no payload")
 	}
 	return cl.Seq
+}
+
+// TestClaimFrameRoundTrip: a claim crosses the wire as a sized claim
+// frame whose payload is byte-identical to the enqueued archive, and a
+// drained queue answers with a meta-only frame that decodes as Drained.
+func TestClaimFrameRoundTrip(t *testing.T) {
+	base, corpus := trainedArtifact(t)
+	svc, err := vetsvc.Open(instantiate(t, base, base.Cfg), vetsvc.Config{QueueSize: 4, DisableLocalLanes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := startStack(t, svc, cluster.CoordinatorConfig{}, 0, cluster.WorkerConfig{})
+	sub := rawSubs(t, corpus, 1, 1)[0]
+	tk, err := svc.Submit(context.Background(), sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cl := claimFrame(t, st.ts.URL, "probe")
+	if cl.Drained || cl.Seq != tk.Seq() {
+		t.Fatalf("claim seq %d drained %v, want seq %d", cl.Seq, cl.Drained, tk.Seq())
+	}
+	if !bytes.Equal(cl.Payload, sub.Raw) {
+		t.Fatalf("payload of %d bytes differs from the %d-byte enqueued archive", len(cl.Payload), len(sub.Raw))
+	}
+	if cl.Token == 0 || cl.ModelDigest == "" {
+		t.Fatalf("claim meta incomplete: token %d, model %q", cl.Token, cl.ModelDigest)
+	}
+
+	// Settle the lease so the queue can drain.
+	resp := postJSON(t, st.ts.URL+cluster.PathAck, map[string]any{
+		"node": "probe", "seq": cl.Seq, "token": cl.Token, "error": "probe settles without vetting",
+	})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ack: status %d", resp.StatusCode)
+	}
+	svc.Queue().Shutdown()
+	if cl := claimFrame(t, st.ts.URL, "probe"); !cl.Drained || cl.Payload != nil {
+		t.Fatalf("after drain: drained %v with %d payload bytes", cl.Drained, len(cl.Payload))
+	}
+}
+
+// TestOversizedRequestBodies: a claim, heartbeat, ack or nack body past
+// the coordinator's bound is refused with 413 and settles nothing — the
+// pending item stays pending and the held lease stays held.
+func TestOversizedRequestBodies(t *testing.T) {
+	base, corpus := trainedArtifact(t)
+	svc, err := vetsvc.Open(instantiate(t, base, base.Cfg), vetsvc.Config{QueueSize: 4, DisableLocalLanes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The held lease is never settled by a worker; bound the drain.
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		svc.Drain(ctx)
+	}()
+	coord := cluster.NewCoordinator(svc, cluster.CoordinatorConfig{PollSlice: 10 * time.Millisecond})
+	mux := http.NewServeMux()
+	coord.Mount(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	var tickets []*vetsvc.Ticket
+	for _, sub := range rawSubs(t, corpus, 2, 2) {
+		tk, err := svc.Submit(context.Background(), sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+	}
+	cl := claimFrame(t, ts.URL, "holder")
+
+	big := strings.Repeat("x", cluster.MaxRequestBody)
+	for _, tc := range []struct {
+		path string
+		body map[string]any
+	}{
+		{cluster.PathClaim, map[string]any{"node": big, "wait_ms": 10}},
+		{cluster.PathHeartbeat, map[string]any{"node": "holder", "seq": cl.Seq, "token": cl.Token, "cause": big}},
+		{cluster.PathAck, map[string]any{"node": "holder", "seq": cl.Seq, "token": cl.Token, "error": big}},
+		{cluster.PathNack, map[string]any{"node": "holder", "seq": cl.Seq, "token": cl.Token, "cause": big}},
+	} {
+		resp := postJSON(t, ts.URL+tc.path, tc.body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413", tc.path, resp.StatusCode)
+		}
+	}
+
+	if qs := svc.QueueStats(); qs.Depth != 1 || qs.Leased != 1 || qs.Acked != 0 || qs.Nacked != 0 {
+		t.Fatalf("queue after oversized bodies: %+v, want one pending and one held lease", qs)
+	}
+	for _, tk := range tickets {
+		select {
+		case <-tk.Done():
+			t.Fatalf("seq %d settled by an oversized body", tk.Seq())
+		default:
+		}
+	}
+	// The held lease is intact: a well-sized nack returns it.
+	resp := postJSON(t, ts.URL+cluster.PathNack, map[string]any{"node": "holder", "seq": cl.Seq, "token": cl.Token, "cause": "done probing"})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("well-sized nack: status %d", resp.StatusCode)
+	}
 }
 
 // TestClusterReclaimsDeadNode kills a node holding a lease mid-emulation

@@ -293,7 +293,7 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 			c.respondClaim(w, req.Node, l)
 			return
 		case errors.Is(err, workqueue.ErrDrained):
-			writeJSON(w, http.StatusOK, claimResponse{Drained: true})
+			writeClaim(w, &claimResponse{Drained: true})
 			return
 		case errors.Is(err, workqueue.ErrClosed):
 			httpError(w, http.StatusServiceUnavailable, err.Error())
@@ -306,7 +306,7 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// respondClaim registers the wire lease and writes the claim response.
+// respondClaim registers the wire lease and writes the claim frame.
 func (c *Coordinator) respondClaim(w http.ResponseWriter, node string, l *workqueue.Lease) {
 	it := l.Item()
 	digest, gen, err := c.currentModel()
@@ -341,7 +341,7 @@ func (c *Coordinator) respondClaim(w http.ResponseWriter, node string, l *workqu
 	if dl := c.svc.ClaimDeadline(it); !dl.IsZero() {
 		resp.DeadlineUnixNano = dl.UnixNano()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeClaim(w, &resp)
 }
 
 // takeLease resolves and removes the wire lease for (seq, token); nil
@@ -535,13 +535,20 @@ func (c *Coordinator) currentModel() (digest string, gen uint64, err error) {
 	return dig, g.ID, nil
 }
 
-// decodeBody decodes a JSON request body, answering 400 on failure.
+// decodeBody decodes a JSON request body of at most maxRequestBody
+// bytes, answering 413 past the bound and 400 on any other failure.
 func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
-	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding request body: "+err.Error())
-		return false
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(into)
+	if err == nil {
+		return true
 	}
-	return true
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxRequestBody))
+	} else {
+		httpError(w, http.StatusBadRequest, "decoding request body: "+err.Error())
+	}
+	return false
 }
 
 // httpError writes a JSON error envelope.

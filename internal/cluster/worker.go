@@ -179,8 +179,9 @@ func (w *Worker) lane() {
 			if w.ctx.Err() != nil {
 				return
 			}
-			// Transient coordinator trouble (restart, network): back off
-			// and re-poll rather than dying.
+			// Transient coordinator trouble (restart, network) or a broken
+			// claim frame: back off and re-poll rather than dying. A
+			// claim lost this way comes back when its lease expires.
 			select {
 			case <-time.After(200 * time.Millisecond):
 			case <-w.ctx.Done():
@@ -294,11 +295,7 @@ func (w *Worker) claim() (*claimResponse, error) {
 	defer drainClose(resp)
 	switch resp.StatusCode {
 	case http.StatusOK:
-		var cl claimResponse
-		if err := json.NewDecoder(resp.Body).Decode(&cl); err != nil {
-			return nil, fmt.Errorf("cluster: decoding claim: %w", err)
-		}
-		return &cl, nil
+		return readClaim(resp)
 	case http.StatusNoContent:
 		return nil, nil
 	default:

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"apichecker/internal/core"
+	"apichecker/internal/vcache"
 )
 
 // record is the verdict record one accepted submission settles into —
@@ -44,15 +45,19 @@ func newRecord(seq int64, pkg, digest string) *record {
 	return &record{seq: seq, pkg: pkg, digest: digest}
 }
 
-// settle resolves the record exactly once; later calls report false and
-// change nothing (duplicate suppression). The submission payload is
-// released here so long-lived tickets don't pin archive bytes.
-func (r *record) settle(v *core.Verdict, err error) bool {
+// settle resolves the record exactly once and books the completion into
+// m; later calls report false and change nothing (duplicate
+// suppression). The booking lands before any waiter wakes or observes
+// the record settled, so a caller that read the verdict also reads its
+// completion in the metrics. The submission payload is released here so
+// long-lived tickets don't pin archive bytes.
+func (r *record) settle(v *core.Verdict, err error, m *counters, out vcache.Outcome) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.settled {
 		return false
 	}
+	m.finishJob(v, err, out)
 	r.settled = true
 	r.verdict, r.err = v, err
 	r.sub = core.Submission{}

@@ -505,10 +505,9 @@ func (s *Service) claimContext(claimCtx context.Context, it workqueue.Item) (cor
 // once (first report wins; a reclaim-raced duplicate changes nothing and
 // reports false), and emits the done event.
 func (s *Service) settleRecord(r *record, v *core.Verdict, out vcache.Outcome, err error, wall time.Duration) bool {
-	if !r.settle(v, err) {
+	if !r.settle(v, err, &s.m, out) {
 		return false
 	}
-	s.m.finishJob(v, err, out)
 	s.noteWall(wall)
 	s.dropRecord(r.seq)
 	ev := Event{Type: EventDone, Seq: r.seq, Package: r.pkg, Err: err}
@@ -578,10 +577,9 @@ func (s *Service) deadLetter(it workqueue.Item, cause error) {
 		return
 	}
 	err := fmt.Errorf("vet %s: %w: %w", r.pkg, ErrPoisoned, cause)
-	if !r.settle(nil, err) {
+	if !r.settle(nil, err, &s.m, vcache.OutcomeBypass) {
 		return
 	}
-	s.m.finishJob(nil, err, vcache.OutcomeBypass)
 	s.dropRecord(r.seq)
 	s.emit(Event{Type: EventDone, Seq: r.seq, Package: r.pkg, Err: err})
 }
