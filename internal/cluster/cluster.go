@@ -4,7 +4,9 @@
 // the paper actually operates — one coordinator owning the durable
 // submission queue, N worker nodes claiming work over HTTP, and lease
 // heartbeats making node death just another reclaim (the
-// taskcluster-worker shape).
+// taskcluster-worker shape). A worker node's lanes are internal/worker's
+// executor over an HTTP lease (the claim frame plus the node), so remote
+// and local lanes share one loop, one heartbeat rule and one panic guard.
 //
 // The wire protocol is four POSTs plus one GET, mounted on the
 // coordinator's gateway mux:

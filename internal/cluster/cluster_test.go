@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,6 +26,8 @@ import (
 	"apichecker/internal/gateway"
 	"apichecker/internal/modelstore"
 	"apichecker/internal/vetsvc"
+	"apichecker/internal/worker/workertest"
+	"apichecker/internal/workqueue"
 )
 
 var testU = framework.MustGenerate(framework.TestConfig(3000))
@@ -617,4 +620,89 @@ func TestHealthzClusterFields(t *testing.T) {
 	if got := h["nodes"]; got != float64(1) {
 		t.Fatalf("after claim: nodes = %v, want 1", got)
 	}
+}
+
+// TestClusterNodeSurvivesPanic: a panic while a node vets one claim is
+// isolated to that claim — the lane nacks it, the item is re-claimed and
+// vetted, and both nodes keep serving.
+func TestClusterNodeSurvivesPanic(t *testing.T) {
+	base, corpus := trainedArtifact(t)
+	const total = 12
+	subs := rawSubs(t, corpus, total, total)
+	ckSerial := instantiate(t, base, base.Cfg)
+	serial := make([]*core.Verdict, len(subs))
+	for i, sub := range subs {
+		v, err := ckSerial.Vet(context.Background(), sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[i] = v
+	}
+
+	svc, err := vetsvc.Open(instantiate(t, base, base.Cfg), vetsvc.Config{
+		QueueSize:         total,
+		DisableLocalLanes: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first vetted seq becomes the poisoned one: its first report
+	// panics, every later one goes through.
+	var poisoned atomic.Int64
+	st := startStack(t, svc, cluster.CoordinatorConfig{}, 2, cluster.WorkerConfig{
+		OnVet: func(seq int64, _ *core.Verdict, _ error) {
+			if poisoned.CompareAndSwap(0, seq) {
+				panic("poisoned vet")
+			}
+		},
+	})
+
+	got, err := svc.VetBatch(context.Background(), subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range serial {
+		if *got[i] != *serial[i] {
+			t.Fatalf("submission %d: cluster %+v vs serial %+v", i, *got[i], *serial[i])
+		}
+	}
+	var nacks uint64
+	for i, w := range st.workers {
+		nacks += w.Stats().Nacks
+		select {
+		case <-w.Done():
+			t.Fatalf("node %d exited after the panic", i)
+		default:
+		}
+	}
+	if nacks < 1 {
+		t.Fatalf("nodes nacked %d claims, want the panicked one nacked", nacks)
+	}
+	if n := st.coord.LiveNodes(); n != 2 {
+		t.Fatalf("live nodes = %d, want 2", n)
+	}
+}
+
+// TestLeaseContract runs the executor's conformance suite over a node's
+// HTTP lease against a live coordinator: the same cases the in-process
+// workqueue lease passes.
+func TestLeaseContract(t *testing.T) {
+	base, _ := trainedArtifact(t)
+	ck := instantiate(t, base, base.Cfg)
+	workertest.Run(t, workertest.Provider[*cluster.NodeLease]{
+		Open: func(t *testing.T, cfg workqueue.Config) (*workqueue.Queue, func(context.Context) (*cluster.NodeLease, error)) {
+			svc, err := vetsvc.Open(ck, vetsvc.Config{
+				QueueSize:         cfg.Capacity,
+				LeaseTTL:          cfg.LeaseTTL,
+				MaxAttempts:       cfg.MaxAttempts,
+				DisableLocalLanes: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := startStack(t, svc, cluster.CoordinatorConfig{}, 0, cluster.WorkerConfig{})
+			return svc.Queue(), cluster.NodeClaim(cluster.WorkerConfig{Coordinator: st.ts.URL, Node: "node-0", PollWait: 250 * time.Millisecond})
+		},
+		Seq: func(l *cluster.NodeLease) int64 { return l.Seq },
+	})
 }

@@ -15,6 +15,7 @@ import (
 	"apichecker/internal/core"
 	"apichecker/internal/lifecycle"
 	"apichecker/internal/modelstore"
+	"apichecker/internal/worker"
 	"apichecker/internal/workqueue"
 )
 
@@ -67,17 +68,17 @@ type WorkerStats struct {
 // Worker is one running worker node: Lanes concurrent claim loops over
 // the coordinator's wire protocol, each running the full local vet
 // pipeline on a checker cold-started (and hot-swapped) from the
-// coordinator's advertised model generation. Construct with StartWorker;
-// Stop cancels the lanes, Wait blocks until they exit (coordinator
-// drained or stopped).
+// coordinator's advertised model generation. The lanes are a
+// worker.Pool over the node's HTTP lease, the same executor the
+// in-process service runs. Construct with StartWorker; Stop cancels the
+// lanes, Done closes when they exit (Stop, or the coordinator drained).
 type Worker struct {
 	cfg    WorkerConfig
 	client *http.Client
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	wg     sync.WaitGroup
-	done   chan struct{}
+	pool   *worker.Pool[*nodeLease]
 
 	// modelMu serializes model management: the first lane to see a new
 	// digest pulls and swaps while the others wait, so no lane ever vets
@@ -90,8 +91,7 @@ type Worker struct {
 }
 
 // StartWorker launches a worker node and returns immediately; lanes run
-// until Stop, a fatal configuration error, or the coordinator reports
-// its queue drained.
+// until Stop or the coordinator reports its queue drained.
 func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Coordinator == "" {
 		return nil, fmt.Errorf("cluster: worker requires a coordinator URL")
@@ -109,20 +109,13 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	if client == nil {
 		client = &http.Client{}
 	}
-	w := &Worker{
-		cfg:    cfg,
-		client: client,
-		done:   make(chan struct{}),
-	}
+	w := &Worker{cfg: cfg, client: client}
 	w.ctx, w.cancel = context.WithCancel(context.Background())
-	w.wg.Add(cfg.Lanes)
-	for i := 0; i < cfg.Lanes; i++ {
-		go w.lane()
-	}
-	go func() {
-		w.wg.Wait()
-		close(w.done)
-	}()
+	w.pool = worker.Start(w.ctx, w.claim, worker.Config[*nodeLease]{
+		Lanes:          cfg.Lanes,
+		HeartbeatEvery: cfg.HeartbeatEvery,
+		Do:             w.vet,
+	})
 	return w, nil
 }
 
@@ -132,15 +125,11 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 // lease TTL reclaims instead).
 func (w *Worker) Stop() {
 	w.cancel()
-	w.wg.Wait()
+	<-w.pool.Done()
 }
 
-// Wait blocks until every lane has exited (Stop, or the coordinator
-// drained).
-func (w *Worker) Wait() { <-w.done }
-
 // Done is closed when every lane has exited.
-func (w *Worker) Done() <-chan struct{} { return w.done }
+func (w *Worker) Done() <-chan struct{} { return w.pool.Done() }
 
 // Stats snapshots node activity.
 func (w *Worker) Stats() WorkerStats {
@@ -170,189 +159,127 @@ func (w *Worker) ModelDigest() string {
 	return w.digest
 }
 
-// lane is one claim loop: claim → ensure model → vet → report.
-func (w *Worker) lane() {
-	defer w.wg.Done()
-	for w.ctx.Err() == nil {
-		cl, err := w.claim()
-		if err != nil {
-			if w.ctx.Err() != nil {
-				return
-			}
-			// Transient coordinator trouble (restart, network) or a broken
-			// claim frame: back off and re-poll rather than dying. A
-			// claim lost this way comes back when its lease expires.
+// claim is the pool's claim function: it long-polls the coordinator
+// until a lease comes back. Empty polls (204) re-poll; transient trouble
+// (a coordinator restart, the network, a broken claim frame) backs off
+// and re-polls rather than killing the lane — a claim lost that way
+// comes back when its lease expires. It fails only when the coordinator
+// reports drained or ctx (Stop) ends.
+func (w *Worker) claim(ctx context.Context) (*nodeLease, error) {
+	req := claimRequest{Node: w.cfg.Node, WaitMS: w.cfg.PollWait.Milliseconds()}
+	for {
+		var cl *claimResponse
+		// The request timeout allows one extra PollWait beyond the
+		// server's budget so a healthy long-poll is never cut off by the
+		// client side.
+		err := w.call(ctx, 2*w.cfg.PollWait+5*time.Second, PathClaim, req, func(resp *http.Response) (err error) {
+			cl, err = readClaim(resp)
+			return err
+		})
+		switch {
+		case cl != nil && cl.Drained:
+			return nil, workqueue.ErrDrained
+		case cl != nil:
+			w.claims.Add(1)
+			return &nodeLease{claimResponse: cl, w: w}, nil
+		case ctx.Err() != nil:
+			return nil, ctx.Err()
+		case err != nil:
 			select {
 			case <-time.After(200 * time.Millisecond):
-			case <-w.ctx.Done():
-				return
+			case <-ctx.Done():
+				return nil, ctx.Err()
 			}
-			continue
 		}
-		if cl == nil {
-			continue // poll budget expired empty-handed
-		}
-		if cl.Drained {
-			return
-		}
-		w.claims.Add(1)
-		ck, err := w.ensureModel(cl.ModelDigest)
-		if err != nil {
-			w.nack(cl, fmt.Sprintf("model %.12s: %v", cl.ModelDigest, err))
-			continue
-		}
-		w.execute(ck, cl)
 	}
 }
 
-// execute runs one claimed submission through the local vet pipeline,
-// heartbeating during emulation; lease loss cancels the vet context with
-// cause workqueue.ErrLeaseLost, mirroring the in-process worker pool.
-func (w *Worker) execute(ck *core.Checker, cl *claimResponse) {
-	vctx, vcancel := context.WithCancelCause(w.ctx)
-	defer vcancel(nil)
-	jctx := context.Context(vctx)
-	if cl.DeadlineUnixNano > 0 {
-		dctx, dcancel := context.WithDeadline(jctx, time.Unix(0, cl.DeadlineUnixNano))
-		defer dcancel()
-		jctx = dctx
+// vet is the pool's Do: one claimed submission through the local vet
+// pipeline on the advertised generation. The result rides the lease to
+// its Ack. A model failure or a Stop returns an error (the pool nacks the
+// claim for prompt re-issue); a lease lost mid-vet returns the loss (the
+// re-issued claim, on some node, reports the verdict).
+func (w *Worker) vet(ctx context.Context, l *nodeLease) error {
+	ck, err := w.ensureModel(l.ModelDigest)
+	if err != nil {
+		return fmt.Errorf("model %.12s: %v", l.ModelDigest, err)
 	}
-	hb := w.cfg.HeartbeatEvery
-	if hb == 0 && cl.LeaseTTLMS > 0 {
-		hb = time.Duration(cl.LeaseTTLMS) * time.Millisecond / 3
+	vctx := ctx
+	if l.DeadlineUnixNano > 0 {
+		dctx, cancel := context.WithDeadline(ctx, time.Unix(0, l.DeadlineUnixNano))
+		defer cancel()
+		vctx = dctx
 	}
-	stopHB := func() {}
-	if hb > 0 {
-		stopHB = w.startHeartbeat(cl, vcancel, hb)
-	}
-
-	sub := core.Submission{Raw: cl.Payload, Seq: cl.Seq, Digest: cl.Key}
 	t0 := time.Now()
-	v, out, err := ck.VetOutcome(jctx, sub)
+	v, out, err := ck.VetOutcome(vctx, core.Submission{Raw: l.Payload, Seq: l.Seq, Digest: l.Key})
 	wall := time.Since(t0)
-	stopHB()
-
 	if err != nil && errors.Is(err, context.Canceled) {
-		if errors.Is(context.Cause(vctx), workqueue.ErrLeaseLost) {
-			// Reclaimed mid-vet: the re-issued claim (on another node)
-			// reports the verdict; this half is abandoned unreported.
+		if cause := context.Cause(ctx); errors.Is(cause, workqueue.ErrLeaseLost) {
 			w.leaseLost.Add(1)
-			return
+			return cause
 		}
 		if w.ctx.Err() != nil {
-			// Node shutdown: hand the claim back for prompt re-issue.
-			w.nack(cl, "worker stopping")
-			return
+			return errors.New("worker stopping")
 		}
 	}
 	w.verdicts.Add(1)
 	if w.cfg.OnVet != nil {
-		w.cfg.OnVet(cl.Seq, v, err)
+		w.cfg.OnVet(l.Seq, v, err)
 	}
-	w.ack(cl, v, out.String(), err, wall)
-}
-
-// startHeartbeat extends the lease every period until stopped; a 410
-// from the coordinator cancels the vet with cause ErrLeaseLost.
-// Transport errors do not cancel — a transient partition must not kill a
-// healthy emulation; if the lease really expired, the next beat's 410 or
-// the ack's first-wins absorption handles it.
-func (w *Worker) startHeartbeat(cl *claimResponse, cancel context.CancelCauseFunc, every time.Duration) func() {
-	stop := make(chan struct{})
-	go func() {
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-w.ctx.Done():
-				return
-			case <-t.C:
-				lost, err := w.heartbeat(cl)
-				if err == nil && lost {
-					cancel(workqueue.ErrLeaseLost)
-					return
-				}
-			}
-		}
-	}()
-	return func() { close(stop) }
-}
-
-// claim long-polls the coordinator for work; (nil, nil) means the poll
-// came back empty (204).
-func (w *Worker) claim() (*claimResponse, error) {
-	body := claimRequest{Node: w.cfg.Node, WaitMS: w.cfg.PollWait.Milliseconds()}
-	// The request context allows one extra PollWait beyond the server's
-	// budget so a healthy long-poll is never cut off by the client side.
-	ctx, cancel := context.WithTimeout(w.ctx, 2*w.cfg.PollWait+5*time.Second)
-	defer cancel()
-	resp, err := w.post(ctx, PathClaim, body)
+	l.result = ackRequest{Outcome: out.String(), WallNS: wall.Nanoseconds(), Verdict: v}
 	if err != nil {
-		return nil, err
+		l.result.Error, l.result.ErrorKind = err.Error(), errorKind(err)
 	}
-	defer drainClose(resp)
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return readClaim(resp)
-	case http.StatusNoContent:
-		return nil, nil
-	default:
-		return nil, httpStatusError("claim", resp)
-	}
+	return nil
 }
 
-// heartbeat reports (lost, transport error).
-func (w *Worker) heartbeat(cl *claimResponse) (bool, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	resp, err := w.post(ctx, PathHeartbeat, leaseRequest{Node: w.cfg.Node, Seq: cl.Seq, Token: cl.Token})
-	if err != nil {
-		return false, err
-	}
-	defer drainClose(resp)
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return false, nil
-	case http.StatusGone:
-		return true, nil
-	default:
-		return false, httpStatusError("heartbeat", resp)
-	}
+// nodeLease is one claim this node holds: the decoded claim frame plus
+// the node answering for it — the worker.Lease the node's pool runs
+// over, settled by posting to the coordinator.
+type nodeLease struct {
+	*claimResponse
+	w *Worker
+
+	// result is the vet report Do stored for Ack to post.
+	result ackRequest
 }
 
-// ack reports one vet result. Failures are logged into the nack counter
-// only implicitly: a lost ack is absorbed upstream by the lease TTL and
-// first-wins recording, so there is nothing useful to retry here.
-func (w *Worker) ack(cl *claimResponse, v *core.Verdict, outcome string, vetErr error, wall time.Duration) {
-	req := ackRequest{
-		Node:        w.cfg.Node,
-		Seq:         cl.Seq,
-		Token:       cl.Token,
-		ModelDigest: cl.ModelDigest,
-		Outcome:     outcome,
-		WallNS:      wall.Nanoseconds(),
-		Verdict:     v,
+// TTL is the lease TTL the coordinator advertised with the claim.
+func (l *nodeLease) TTL() time.Duration { return time.Duration(l.LeaseTTLMS) * time.Millisecond }
+
+// Heartbeat extends the lease. Only a 410 reports it lost: a transport
+// error must not kill a healthy emulation over a transient partition —
+// if the lease really expired, the next beat's 410 or the ack's
+// first-wins absorption handles it. Lease calls run under their own
+// timeouts, not the node's context, so a stopping node still settles.
+func (l *nodeLease) Heartbeat() error {
+	if err := l.w.call(context.Background(), 10*time.Second, PathHeartbeat, l.request(""), nil); errors.Is(err, workqueue.ErrLeaseLost) {
+		return err
 	}
-	if vetErr != nil {
-		req.Error, req.ErrorKind = vetErr.Error(), errorKind(vetErr)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if resp, err := w.post(ctx, PathAck, req); err == nil {
-		drainClose(resp)
-	}
+	return nil
 }
 
-// nack returns a claim for another attempt.
-func (w *Worker) nack(cl *claimResponse, cause string) {
-	w.nacks.Add(1)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if resp, err := w.post(ctx, PathNack, leaseRequest{Node: w.cfg.Node, Seq: cl.Seq, Token: cl.Token, Cause: cause}); err == nil {
-		drainClose(resp)
-	}
+// Ack reports the stored vet result. A lost ack needs no retry: the lease
+// TTL and first-wins recording absorb it upstream.
+func (l *nodeLease) Ack() error {
+	req := l.result
+	req.Node, req.Seq, req.Token, req.ModelDigest = l.w.cfg.Node, l.Seq, l.Token, l.ModelDigest
+	return l.w.call(context.Background(), 30*time.Second, PathAck, req, nil)
+}
+
+// Nack returns the claim for another attempt.
+func (l *nodeLease) Nack(cause error) (bool, error) {
+	l.w.nacks.Add(1)
+	var ar ackResponse
+	err := l.w.call(context.Background(), 10*time.Second, PathNack, l.request(cause.Error()), func(resp *http.Response) error {
+		return json.NewDecoder(resp.Body).Decode(&ar)
+	})
+	return ar.Requeued, err
+}
+
+// request is the lease's heartbeat/nack body.
+func (l *nodeLease) request(cause string) leaseRequest {
+	return leaseRequest{Node: l.w.cfg.Node, Seq: l.Seq, Token: l.Token, Cause: cause}
 }
 
 // ensureModel returns a checker serving exactly digest, pulling and
@@ -422,22 +349,39 @@ func (w *Worker) fetchModel(digest string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// post sends one JSON request.
-func (w *Worker) post(ctx context.Context, path string, body any) (*http.Response, error) {
+// call posts one JSON request within timeout of ctx and maps the
+// answer: 200 hands the response to decode (when set), 204 is nil, 410 is
+// workqueue.ErrLeaseLost, anything else an error carrying the body.
+func (w *Worker) call(ctx context.Context, timeout time.Duration, path string, body any, decode func(*http.Response) error) error {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
 	data, err := json.Marshal(body)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
+		return fmt.Errorf("cluster: %w", err)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.cfg.Coordinator+path, bytes.NewReader(data))
 	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
+		return fmt.Errorf("cluster: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := w.client.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: %s: %w", path, err)
+		return fmt.Errorf("cluster: %s: %w", path, err)
 	}
-	return resp, nil
+	defer drainClose(resp)
+	switch resp.StatusCode {
+	case http.StatusOK:
+		if decode != nil {
+			return decode(resp)
+		}
+		return nil
+	case http.StatusNoContent:
+		return nil
+	case http.StatusGone:
+		return workqueue.ErrLeaseLost
+	default:
+		return httpStatusError(path, resp)
+	}
 }
 
 // httpStatusError turns a non-2xx response into an error carrying the

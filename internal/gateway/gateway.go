@@ -141,14 +141,12 @@ type record struct {
 	spans []obs.Event
 	subs  []chan obs.Event
 
-	// ticket is the service-side view of the submission (nil only while
-	// the record is being admitted, under regMu); its state machine
-	// (queued → claimed → done/failed) backs the status resource.
+	// ticket is the service-side view of the submission and the one
+	// owner of its settle state: the state machine (queued → claimed →
+	// done/failed), the done channel and the verdict. admit sets it under
+	// regMu before releasing the record to any lookup, so readers never
+	// see it nil.
 	ticket *vetsvc.Ticket
-
-	done    chan struct{} // closed when the ticket settles
-	verdict *core.Verdict
-	vetErr  error
 }
 
 // New builds a gateway over a running vetting service. The server routes
@@ -272,7 +270,7 @@ func (r *record) subscribe() (replay []obs.Event, live chan obs.Event, finished 
 	defer r.mu.Unlock()
 	replay = append([]obs.Event(nil), r.spans...)
 	select {
-	case <-r.done:
+	case <-r.ticket.Done():
 		return replay, nil, true
 	default:
 	}
@@ -290,25 +288,6 @@ func (r *record) unsubscribe(ch chan obs.Event) {
 			r.subs = append(r.subs[:i], r.subs[i+1:]...)
 			return
 		}
-	}
-}
-
-// complete settles the record with the ticket's outcome.
-func (r *record) complete(v *core.Verdict, err error) {
-	r.mu.Lock()
-	r.verdict, r.vetErr = v, err
-	r.subs = nil
-	r.mu.Unlock()
-	close(r.done)
-}
-
-// isDone reports whether the submission has settled.
-func (r *record) isDone() bool {
-	select {
-	case <-r.done:
-		return true
-	default:
-		return false
 	}
 }
 
@@ -338,21 +317,13 @@ type errorBody struct {
 // the backpressure table: 504 deadline, 503 drain, 422 bad archive, 500
 // otherwise).
 func (r *record) status() (SubmissionStatus, int) {
-	st := SubmissionStatus{ID: r.id, Seq: r.seq}
-	if !r.isDone() {
-		// The ticket's state machine is authoritative for the in-flight
-		// half; a ticket that has settled while the record is still
-		// completing reads as claimed until the verdict lands.
-		st.Status = "queued"
-		if r.ticket != nil {
-			if ts := r.ticket.State(); ts == "claimed" || ts == "done" || ts == "failed" {
-				st.Status = "claimed"
-			}
-		}
+	st := SubmissionStatus{ID: r.id, Seq: r.seq, Status: r.ticket.State()}
+	if st.Status == "queued" || st.Status == "claimed" {
 		return st, http.StatusAccepted
 	}
+	// Settled: Wait returns the verdict without blocking.
+	v, err := r.ticket.Wait(context.Background())
 	r.mu.Lock()
-	v, err := r.verdict, r.vetErr
 	for _, ev := range r.spans {
 		if ev.Name == pipeline.StageCacheLookup && ev.Note != "" {
 			st.Outcome = ev.Note
@@ -360,11 +331,9 @@ func (r *record) status() (SubmissionStatus, int) {
 	}
 	r.mu.Unlock()
 	if err == nil {
-		st.Status = "done"
 		st.Verdict = v
 		return st, http.StatusOK
 	}
-	st.Status = "failed"
 	st.Error = err.Error()
 	if stage, ok := pipeline.FailedStage(err); ok {
 		st.Stage = stage
@@ -461,7 +430,7 @@ func (s *Server) admit(id string, data []byte) (*record, error) {
 		return rec, nil
 	}
 	seq := s.ck.ReserveVetSeqs(1)
-	rec := &record{id: id, seq: seq, created: time.Now(), done: make(chan struct{})}
+	rec := &record{id: id, seq: seq, created: time.Now()}
 	s.byID[id] = rec
 	s.bySeq[seq] = rec
 	ticket, err := s.svc.Submit(context.Background(), core.Submission{Raw: data, Seq: seq, Digest: id})
@@ -474,14 +443,13 @@ func (s *Server) admit(id string, data []byte) (*record, error) {
 	s.order = append(s.order, rec)
 	s.evictLocked()
 	s.col.Counter("gw.submissions.accepted").Inc()
-	go s.settle(rec, ticket)
+	go s.settle(rec)
 	return rec, nil
 }
 
-// settle waits for the ticket and completes the record.
-func (s *Server) settle(rec *record, t *vetsvc.Ticket) {
-	v, err := t.Wait(context.Background())
-	rec.complete(v, err)
+// settle waits for the ticket, then stops routing spans to the record.
+func (s *Server) settle(rec *record) {
+	rec.ticket.Wait(context.Background())
 	s.regMu.Lock()
 	delete(s.bySeq, rec.seq)
 	s.regMu.Unlock()
@@ -495,7 +463,7 @@ func (s *Server) evictLocked() {
 	for len(s.byID) > s.cfg.MaxRecords {
 		evicted := false
 		for i, rec := range s.order {
-			if rec.isDone() {
+			if st := rec.ticket.State(); st == "done" || st == "failed" {
 				s.order = append(s.order[:i], s.order[i+1:]...)
 				delete(s.byID, rec.id)
 				s.col.Counter("gw.records.evicted").Inc()
@@ -530,11 +498,11 @@ func (s *Server) parseWait(w http.ResponseWriter, r *http.Request) (time.Duratio
 // respond writes the submission resource, blocking up to wait for the
 // verdict first.
 func (s *Server) respond(w http.ResponseWriter, r *http.Request, rec *record, wait time.Duration) {
-	if wait > 0 && !rec.isDone() {
+	if wait > 0 {
 		timer := time.NewTimer(wait)
 		defer timer.Stop()
 		select {
-		case <-rec.done:
+		case <-rec.ticket.Done():
 		case <-timer.C:
 		case <-r.Context().Done():
 			return

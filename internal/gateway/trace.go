@@ -62,7 +62,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		case ev := <-live:
 			writeSSE(w, "span", spanOf(ev))
 			flusher.Flush()
-		case <-rec.done:
+		case <-rec.ticket.Done():
 			// Drain spans that raced with completion, then terminate.
 			for {
 				select {

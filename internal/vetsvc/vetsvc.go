@@ -210,8 +210,7 @@ type Service struct {
 	ck  *core.Checker
 
 	q    *workqueue.Queue
-	pool *worker.Pool
-	hb   time.Duration // effective heartbeat period (0 = off)
+	pool *worker.Pool[*workqueue.Lease]
 
 	// mu serializes admissions: the sequence reservation and the enqueue
 	// happen atomically, so FIFO queue order equals seq order — the
@@ -271,17 +270,9 @@ func Open(ck *core.Checker, cfg Config) (*Service, error) {
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 4 * cfg.Workers
 	}
-	hb := cfg.HeartbeatEvery
-	if hb == 0 && cfg.LeaseTTL > 0 {
-		hb = cfg.LeaseTTL / 3
-	}
-	if hb < 0 {
-		hb = 0
-	}
 	s := &Service{
 		cfg:  cfg,
 		ck:   ck,
-		hb:   hb,
 		recs: make(map[int64]*record),
 		m:    newCounters(obs.NewCollector()),
 	}
@@ -320,11 +311,14 @@ func Open(ck *core.Checker, cfg Config) (*Service, error) {
 		s.emit(Event{Type: EventAccepted, Seq: r.seq, Package: r.pkg})
 	}
 	if !cfg.DisableLocalLanes {
-		s.pool = worker.Start(q, worker.Config{
+		// Claims use a background context on purpose: a hard drain cancels
+		// the *vets* (through the submission contexts), not the claim
+		// loops, so aborted items still settle their leases.
+		s.pool = worker.Start(context.Background(), q.Claim, worker.Config[*workqueue.Lease]{
 			Lanes:          cfg.Workers,
-			HeartbeatEvery: hb,
+			HeartbeatEvery: cfg.HeartbeatEvery,
 			Do:             s.vetClaim,
-			OnPanic:        func(workqueue.Item, any) { s.m.panics.Inc() },
+			OnPanic:        func(*workqueue.Lease, any) { s.m.panics.Inc() },
 		})
 	}
 	return s, nil
@@ -423,13 +417,15 @@ func (s *Service) admit(ctx context.Context, sub core.Submission) (*Ticket, erro
 }
 
 // vetClaim is the worker pool's Do: the binding from one queue claim to
-// the staged vet pipeline and the verdict record.
-func (s *Service) vetClaim(claimCtx context.Context, l *workqueue.Lease) {
+// the staged vet pipeline and the verdict record. It settles the record
+// itself (a failed vet is still a verdict), so it returns an error only
+// when the lease was lost and the re-issued claim owns the item.
+func (s *Service) vetClaim(claimCtx context.Context, l *workqueue.Lease) error {
 	it := l.Item()
 	r := s.recordFor(it.Seq)
 	if r == nil {
 		// Already settled (dead-lettered while pending): nothing to vet.
-		return
+		return nil
 	}
 	r.markClaimed()
 	s.emit(Event{Type: EventStarted, Seq: r.seq, Package: r.pkg})
@@ -437,9 +433,8 @@ func (s *Service) vetClaim(claimCtx context.Context, l *workqueue.Lease) {
 		// The lease expired while the started hook ran: the submission has
 		// been reclaimed and another lane owns it now. Vetting it here too
 		// would be harmless for the verdict (content-determinism) but
-		// would double-pay the emulation; skip, and let Ack's lease check
-		// fall out as the no-double-ack.
-		return
+		// would double-pay the emulation; skip, and settle nothing.
+		return workqueue.ErrLeaseLost
 	}
 	sub, jctx, cleanup := s.claimContext(claimCtx, it)
 	t0 := time.Now()
@@ -452,7 +447,7 @@ func (s *Service) vetClaim(claimCtx context.Context, l *workqueue.Lease) {
 		case errors.Is(cause, workqueue.ErrLeaseLost):
 			// Reclaimed mid-vet: the re-issued claim reports the verdict;
 			// this half-finished one is abandoned unreported.
-			return
+			return cause
 		case errors.Is(cause, ErrDraining):
 			// The cancellation was the service's hard drain, not the
 			// caller's: surface the shutdown reason.
@@ -460,39 +455,31 @@ func (s *Service) vetClaim(claimCtx context.Context, l *workqueue.Lease) {
 		}
 	}
 	s.settleRecord(r, v, out, err, wall)
+	return nil
 }
 
 // claimContext assembles the submission and vetting context for one
 // claim: the caller context (or drainable base) as parent, the admission
-// deadline on top, and — when heartbeats run — the claim context's
-// lease-loss cancellation folded in. Replayed items rebuild their
-// submission from the durable payload and restart their deadline at
-// claim.
+// deadline on top, and — when heartbeats run, so the claim context can
+// cancel — its lease-loss cancellation folded in. Replayed items rebuild
+// their submission from the durable payload and restart their deadline
+// at claim.
 func (s *Service) claimContext(claimCtx context.Context, it workqueue.Item) (core.Submission, context.Context, func()) {
-	var (
-		sub      core.Submission
-		parent   = s.base
-		deadline time.Time
-	)
+	sub, parent := core.Submission{Raw: it.Payload, Seq: it.Seq, Digest: it.Key}, s.base
 	if r, ok := it.Mem.(*record); ok {
 		sub = r.takeSub()
 		if r.ctx != nil {
 			parent = r.ctx
 		}
-		deadline = r.deadline
-	} else {
-		sub = core.Submission{Raw: it.Payload, Seq: it.Seq, Digest: it.Key}
-		if s.cfg.Deadline > 0 {
-			deadline = time.Now().Add(s.cfg.Deadline)
-		}
 	}
 	jctx, cancel := parent, context.CancelFunc(func() {})
-	if !deadline.IsZero() {
+	if deadline := s.ClaimDeadline(it); !deadline.IsZero() {
 		jctx, cancel = context.WithDeadline(parent, deadline)
 	}
-	if s.hb > 0 {
+	if claimCtx.Done() != nil {
 		// Only a running heartbeat can cancel the claim context (on lease
-		// loss), so the merge is paid only when it matters.
+		// loss); without one the pool passes its uncancellable parent, so
+		// the merge is paid only when it matters.
 		lctx, lcancel := context.WithCancelCause(jctx)
 		stop := context.AfterFunc(claimCtx, func() { lcancel(context.Cause(claimCtx)) })
 		prev := cancel
@@ -555,9 +542,9 @@ func (s *Service) ReportRemote(seq int64, v *core.Verdict, out vcache.Outcome, e
 
 // ClaimDeadline resolves the absolute vet deadline for a claimed item
 // (zero when unbounded): the admission deadline while the record still
-// rides the item, or a fresh per-claim budget for replayed items — the
-// same rules claimContext applies for local lanes, exported so claim
-// responses can ship the deadline to remote nodes.
+// rides the item, or a fresh per-claim budget for replayed items. Local
+// lanes vet under it (claimContext); claim responses ship it to remote
+// nodes.
 func (s *Service) ClaimDeadline(it workqueue.Item) time.Time {
 	if r, ok := it.Mem.(*record); ok {
 		return r.deadline

@@ -1,192 +1,25 @@
-package worker
+package worker_test
 
 import (
 	"context"
-	"errors"
-	"sync"
 	"testing"
-	"time"
 
+	"apichecker/internal/worker/workertest"
 	"apichecker/internal/workqueue"
 )
 
-// newQueue builds a queue, failing the test on error.
-func newQueue(t *testing.T, cfg workqueue.Config) *workqueue.Queue {
-	t.Helper()
-	q, _, err := workqueue.Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return q
-}
-
-// enqueue admits one item through the slot protocol.
-func enqueue(t *testing.T, q *workqueue.Queue, it workqueue.Item) int64 {
-	t.Helper()
-	if !q.TryAcquire() {
-		t.Fatal("queue full")
-	}
-	seq, err := q.Enqueue(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return seq
-}
-
-// waitDone waits for the pool to drain or fails the test.
-func waitDone(t *testing.T, p *Pool) {
-	t.Helper()
-	select {
-	case <-p.Done():
-	case <-time.After(10 * time.Second):
-		t.Fatal("pool did not drain")
-	}
-}
-
-func TestPoolExecutesAndAcksEveryClaim(t *testing.T) {
-	q := newQueue(t, workqueue.Config{Capacity: 8})
-	var (
-		mu   sync.Mutex
-		seen []int64
-	)
-	p := Start(q, Config{Lanes: 3, Do: func(_ context.Context, l *workqueue.Lease) {
-		mu.Lock()
-		seen = append(seen, l.Item().Seq)
-		mu.Unlock()
-	}})
-	for i := 0; i < 6; i++ {
-		enqueue(t, q, workqueue.Item{})
-	}
-	q.Shutdown()
-	waitDone(t, p)
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != 6 {
-		t.Fatalf("executed %d claims, want 6", len(seen))
-	}
-	if st := q.Stats(); st.Acked != 6 || st.Nacked != 0 || st.Depth != 0 || st.Leased != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestPanicIsolationNacksToDeadLetter(t *testing.T) {
-	var (
-		deadMu sync.Mutex
-		dead   []workqueue.Item
-	)
-	q := newQueue(t, workqueue.Config{Capacity: 8, MaxAttempts: 2, OnDead: func(it workqueue.Item, _ error) {
-		deadMu.Lock()
-		dead = append(dead, it)
-		deadMu.Unlock()
-	}})
-	var (
-		mu       sync.Mutex
-		panics   int
-		executed = map[int64]int{}
-	)
-	poison := enqueue(t, q, workqueue.Item{Key: "poison"})
-	enqueue(t, q, workqueue.Item{Key: "fine"})
-	p := Start(q, Config{
-		Lanes: 1,
-		Do: func(_ context.Context, l *workqueue.Lease) {
-			mu.Lock()
-			executed[l.Item().Seq]++
-			mu.Unlock()
-			if l.Item().Seq == poison {
-				panic("poisoned archive")
+// TestLeaseContract runs the conformance suite over the in-process lease:
+// the pool claims straight from a workqueue.Queue, no adapter between.
+func TestLeaseContract(t *testing.T) {
+	workertest.Run(t, workertest.Provider[*workqueue.Lease]{
+		Open: func(t *testing.T, cfg workqueue.Config) (*workqueue.Queue, func(context.Context) (*workqueue.Lease, error)) {
+			q, _, err := workqueue.Open(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
+			t.Cleanup(func() { q.Close() })
+			return q, q.Claim
 		},
-		OnPanic: func(workqueue.Item, any) {
-			mu.Lock()
-			panics++
-			mu.Unlock()
-		},
+		Seq: func(l *workqueue.Lease) int64 { return l.Item().Seq },
 	})
-	q.Shutdown()
-	waitDone(t, p) // the pool survived both panics: lanes still drained
-
-	mu.Lock()
-	defer mu.Unlock()
-	deadMu.Lock()
-	defer deadMu.Unlock()
-	if executed[poison] != 2 {
-		t.Fatalf("poison executed %d times, want MaxAttempts=2", executed[poison])
-	}
-	if panics != 2 {
-		t.Fatalf("OnPanic fired %d times, want 2", panics)
-	}
-	if len(dead) != 1 || dead[0].Seq != poison {
-		t.Fatalf("dead letters = %+v, want seq %d", dead, poison)
-	}
-	if st := q.Stats(); st.Acked != 1 || st.Nacked != 2 || st.DeadLettered != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestHeartbeatKeepsSlowClaimAlive(t *testing.T) {
-	q := newQueue(t, workqueue.Config{Capacity: 4, LeaseTTL: 100 * time.Millisecond})
-	enqueue(t, q, workqueue.Item{})
-	p := Start(q, Config{
-		Lanes:          2,
-		HeartbeatEvery: 25 * time.Millisecond,
-		Do: func(ctx context.Context, _ *workqueue.Lease) {
-			// Several TTLs long; only heartbeats keep the lease.
-			select {
-			case <-time.After(400 * time.Millisecond):
-			case <-ctx.Done():
-				t.Errorf("claim context canceled: %v", context.Cause(ctx))
-			}
-		},
-	})
-	q.Shutdown()
-	waitDone(t, p)
-	if st := q.Stats(); st.Acked != 1 || st.Reclaimed != 0 {
-		t.Fatalf("stats = %+v, want 1 ack and no reclaims", st)
-	}
-}
-
-func TestLeaseLossCancelsClaimContext(t *testing.T) {
-	q := newQueue(t, workqueue.Config{Capacity: 4, LeaseTTL: 50 * time.Millisecond, MaxAttempts: 5})
-	enqueue(t, q, workqueue.Item{})
-	var (
-		mu     sync.Mutex
-		causes []error
-		runs   int
-	)
-	// Heartbeats slower than the TTL: the first claim's lease expires
-	// before its first beat, a second lane reclaims it, and the stalled
-	// claim's context must cancel with ErrLeaseLost.
-	p := Start(q, Config{
-		Lanes:          2,
-		HeartbeatEvery: 200 * time.Millisecond,
-		Do: func(ctx context.Context, _ *workqueue.Lease) {
-			mu.Lock()
-			runs++
-			first := runs == 1
-			mu.Unlock()
-			if !first {
-				return // re-issued claim finishes promptly
-			}
-			select {
-			case <-ctx.Done():
-				mu.Lock()
-				causes = append(causes, context.Cause(ctx))
-				mu.Unlock()
-			case <-time.After(5 * time.Second):
-				t.Error("stalled claim was never canceled")
-			}
-		},
-	})
-	q.Shutdown()
-	waitDone(t, p)
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(causes) != 1 || !errors.Is(causes[0], workqueue.ErrLeaseLost) {
-		t.Fatalf("cancel causes = %v, want [ErrLeaseLost]", causes)
-	}
-	if st := q.Stats(); st.Reclaimed != 1 || st.Acked != 1 {
-		t.Fatalf("stats = %+v, want 1 reclaim and exactly 1 ack", st)
-	}
 }

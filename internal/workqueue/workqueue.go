@@ -747,6 +747,9 @@ func (l *Lease) Item() Item { return l.item }
 // rejected exactly like a stale in-process Lease would be.
 func (l *Lease) Token() uint64 { return l.token }
 
+// TTL returns the lease's expiry window (0 when leases never expire).
+func (l *Lease) TTL() time.Duration { return l.q.cfg.LeaseTTL }
+
 // Valid reports whether the lease is still live — its item has not been
 // reclaimed out from under the holder.
 func (l *Lease) Valid() bool {
