@@ -615,6 +615,28 @@ func BenchmarkAPKBuildParse(b *testing.B) {
 	}
 }
 
+// BenchmarkAPKParse measures the decode stage a new upload pays — unzip,
+// manifest, dex and behaviour decode — alone, cycling over 64 pre-built
+// archives so it prices a spread of app shapes rather than one.
+func BenchmarkAPKParse(b *testing.B) {
+	e := env(b)
+	archives := make([][]byte, min(64, e.Corpus.Len()))
+	for i := range archives {
+		data, err := BuildAPK(e.Corpus.Program(i), e.U)
+		if err != nil {
+			b.Fatal(err)
+		}
+		archives[i] = data
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseAPK(archives[i%len(archives)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkServiceThroughput measures batch vetting through the always-on
 // service: bounded-queue admission, worker-pool lanes, and the
 // deterministic ordered merge. Reports submissions vetted per wall-clock

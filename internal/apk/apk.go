@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"apichecker/internal/behavior"
 	"apichecker/internal/dex"
@@ -75,13 +77,6 @@ func Digest(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
 }
-
-// DigestOnly is the serving-path fast key: it hashes the raw archive bytes
-// without opening the zip directory or materializing any entry, because
-// the cache-hit path needs only the digest — a byte-identical resubmission
-// is answered before any decode work happens. It is exactly Digest, named
-// so call sites on the hot path document that no parse is implied.
-func DigestOnly(data []byte) string { return Digest(data) }
 
 // PackageName returns the manifest package name.
 func (a *APK) PackageName() string { return a.Manifest.Package }
@@ -257,7 +252,11 @@ func parse(data []byte) (*APK, error) {
 	}
 
 	// Arena decode: one sized buffer, entry payloads sub-sliced out of it.
-	arena := make([]byte, total)
+	// The arena goes back to the pool when parse returns: every decoder
+	// below copies what it keeps, so nothing in the result points into it.
+	ap := getArena(int(total))
+	defer putArena(ap)
+	arena := *ap
 	var payloads [len(loadEntries)][]byte
 	off := 0
 	for i, f := range files {
@@ -288,6 +287,50 @@ func parse(data []byte) (*APK, error) {
 	out.MD5 = hex.EncodeToString(sum[:])
 	out.SHA256 = Digest(data)
 	return out, nil
+}
+
+// maxPooledArena caps the decode arenas Parse recycles. Market archives
+// decode to well under it; a larger archive gets a one-off arena, so one
+// outlier cannot pin megabytes in the pool.
+const maxPooledArena = 1 << 20
+
+// arenaPool recycles decode arenas (as *[]byte, so Put allocates nothing)
+// between Parse calls.
+var arenaPool sync.Pool
+
+// poisonReleased, when enabled (tests only), scribbles sentinel garbage
+// over a decode arena as it returns to the pool, so a parsed value that
+// still aliases the arena turns visibly corrupt.
+var poisonReleased atomic.Bool
+
+// getArena returns an n-byte decode arena, recycled when n fits the pool.
+// Its contents are stale: readEntrySized overwrites every byte it hands on.
+func getArena(n int) *[]byte {
+	if n <= maxPooledArena {
+		if ap, _ := arenaPool.Get().(*[]byte); ap != nil {
+			if cap(*ap) < n {
+				*ap = make([]byte, n)
+			}
+			*ap = (*ap)[:n]
+			return ap
+		}
+	}
+	b := make([]byte, n)
+	return &b
+}
+
+// putArena recycles an arena once nothing reads it any more.
+func putArena(ap *[]byte) {
+	if cap(*ap) > maxPooledArena {
+		return
+	}
+	if poisonReleased.Load() {
+		b := (*ap)[:cap(*ap)]
+		for i := range b {
+			b[i] = 0xDB
+		}
+	}
+	arenaPool.Put(ap)
 }
 
 // ParseManifestOnly decodes just AndroidManifest.xml from an APK archive:

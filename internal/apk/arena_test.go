@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"hash/crc32"
+	"reflect"
 	"testing"
 
 	"apichecker/internal/behavior"
@@ -128,20 +129,81 @@ func TestParseRejectsSizeLie(t *testing.T) {
 	}
 }
 
-func TestDigestOnlyMatchesDigest(t *testing.T) {
+func TestParseDigestMatchesDigest(t *testing.T) {
 	p := program(8, behavior.Benign, behavior.FamilyNone)
 	data, err := Build(p, testU)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if DigestOnly(data) != Digest(data) {
-		t.Error("DigestOnly and Digest disagree")
-	}
 	parsed, err := Parse(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parsed.SHA256 != DigestOnly(data) {
-		t.Error("parse-time SHA256 differs from DigestOnly")
+	if parsed.SHA256 != Digest(data) {
+		t.Error("parse-time SHA256 differs from Digest")
+	}
+}
+
+// encodedView re-encodes a parsed APK's three decoded parts: a snapshot of
+// its content that no later arena reuse can touch.
+func encodedView(t *testing.T, a *APK) [3][]byte {
+	t.Helper()
+	m, err := a.Manifest.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := a.Dex.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := a.Program.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return [3][]byte{m, d, p}
+}
+
+// TestRecycledArenaNotAliased parses archive A, releases its decode arena
+// with poisoning on, and parses archive B on the recycled (poisoned)
+// arena. A's parsed view must still equal a fresh parse of A: anything
+// still pointing into the arena would read B's bytes or the poison.
+func TestRecycledArenaNotAliased(t *testing.T) {
+	dataA, err := Build(program(11, behavior.Benign, behavior.FamilyNone), testU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataB, err := Build(program(12, behavior.Malicious, behavior.FamilySpyware), testU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Parse(dataA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encodedView(t, fresh)
+
+	poisonReleased.Store(true)
+	t.Cleanup(func() { poisonReleased.Store(false) })
+	a, err := Parse(dataA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		b, err := Parse(dataB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.PackageName() == a.PackageName() && b.MD5 == a.MD5 {
+			t.Fatal("archives A and B are not distinct")
+		}
+	}
+	if !reflect.DeepEqual(a, fresh) {
+		t.Error("A's parsed view changed after its arena was recycled")
+	}
+	got := encodedView(t, a)
+	for i, name := range loadEntries {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("%s: A's decoded view differs from a fresh parse after arena reuse", name)
+		}
 	}
 }

@@ -464,6 +464,7 @@ func TestClusterReclaimsDeadNode(t *testing.T) {
 			t.Fatalf("submission %d: cluster %+v vs serial %+v", i, *v, *serial[i])
 		}
 	}
+	waitTally(&mu, func() bool { return len(recorded) >= total })
 
 	if qs := svc.QueueStats(); qs.Reclaimed == 0 {
 		t.Fatal("dead node's lease was never reclaimed")
@@ -508,6 +509,7 @@ func TestClusterModelPropagation(t *testing.T) {
 	if _, err := svc.VetBatch(context.Background(), subs[:10]); err != nil {
 		t.Fatal(err)
 	}
+	waitTally(&mu, func() bool { return recordedSeqs(reports) >= 10 })
 	mu.Lock()
 	firstWave := len(reports)
 	for _, rv := range reports {
@@ -532,6 +534,7 @@ func TestClusterModelPropagation(t *testing.T) {
 	if _, err := svc.VetBatch(context.Background(), subs[10:]); err != nil {
 		t.Fatal(err)
 	}
+	waitTally(&mu, func() bool { return recordedSeqs(reports) >= len(subs) })
 	mu.Lock()
 	defer mu.Unlock()
 	if len(reports) <= firstWave {
@@ -553,6 +556,35 @@ func TestClusterModelPropagation(t *testing.T) {
 	if swaps == 0 {
 		t.Fatal("no node hot-swapped to the promoted generation")
 	}
+}
+
+// waitTally polls, bounded, until covered holds under mu. handleAck calls
+// OnVerdict only after ReportRemote has settled the record and woken its
+// waiter, so the report for the last settled submission can trail the
+// Wait or VetBatch that returned it. On timeout it returns and leaves the
+// caller's assertions to report what is missing.
+func waitTally(mu *sync.Mutex, covered func() bool) {
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		mu.Lock()
+		ok := covered()
+		mu.Unlock()
+		if ok || time.Now().After(deadline) {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// recordedSeqs counts the distinct seqs whose report settled the record.
+func recordedSeqs(reports []cluster.RemoteVerdict) int {
+	seen := map[int64]bool{}
+	for _, rv := range reports {
+		if rv.Recorded {
+			seen[rv.Seq] = true
+		}
+	}
+	return len(seen)
 }
 
 // TestHealthzClusterFields verifies the extended /healthz surface: queue

@@ -14,7 +14,6 @@
 package dex
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -245,38 +244,48 @@ func (f *File) Encode() ([]byte, error) {
 // maxReasonableCount bounds table sizes while decoding untrusted input.
 const maxReasonableCount = 1 << 24
 
-// Decode parses a serialized dex file.
+// Minimum encoded sizes of the variable-length records. Tables are
+// presized to min(count, remaining/minSize): never more records than the
+// rest of the input could hold, whatever count the header declares.
+const (
+	minLibSize    = 4         // string index
+	minClassSize  = 4 + 1 + 4 // name index, activity flag, method count
+	minMethodSize = 4 + 4     // name index, call count
+	minCallSize   = 1 + 4     // kind, target index
+)
+
+// Decode parses a serialized dex file. It walks data with a bounds-checked
+// cursor and copies the string pool once into a single string that every
+// decoded name sub-slices, so the result never aliases data.
 func Decode(data []byte) (*File, error) {
-	r := &reader{br: bufio.NewReader(bytes.NewReader(data))}
-	var magic [8]byte
-	r.bytes(magic[:])
-	if r.err == nil && magic != Magic {
-		return nil, fmt.Errorf("dex: decode: bad magic %q", magic[:])
+	r := &reader{data: data}
+	if magic := r.next(len(Magic)); r.err == nil && string(magic) != string(Magic[:]) {
+		return nil, fmt.Errorf("dex: decode: bad magic %q", magic)
 	}
 
 	nStrings := r.u32()
 	if r.err == nil && nStrings > maxReasonableCount {
 		return nil, fmt.Errorf("dex: decode: string pool count %d too large", nStrings)
 	}
-	strs := make([]string, 0, min(int(nStrings), 4096))
+	// The pool region is a u32 length plus bytes per string: validate its
+	// layout, copy it whole, then cut each string out of the copy.
+	poolStart := r.off
 	for i := uint32(0); i < nStrings && r.err == nil; i++ {
 		n := r.u32()
 		if r.err == nil && n > maxReasonableCount {
 			return nil, fmt.Errorf("dex: decode: string length %d too large", n)
 		}
-		b := make([]byte, n)
-		r.bytes(b)
-		strs = append(strs, string(b))
+		r.next(int(n))
 	}
-	str := func(idx uint32) string {
-		if r.err != nil {
-			return ""
-		}
-		if int(idx) >= len(strs) {
-			r.err = fmt.Errorf("dex: decode: string index %d out of range (%d strings)", idx, len(strs))
-			return ""
-		}
-		return strs[idx]
+	if r.err != nil {
+		return nil, r.err
+	}
+	pool := string(data[poolStart:r.off])
+	r.strs = make([]string, nStrings)
+	for i, off := 0, 0; i < len(r.strs); i++ {
+		n := int(binary.LittleEndian.Uint32(data[poolStart+off:]))
+		r.strs[i] = pool[off+4 : off+4+n]
+		off += 4 + n
 	}
 
 	var f File
@@ -284,35 +293,39 @@ func Decode(data []byte) (*File, error) {
 	if r.err == nil && nLibs > maxReasonableCount {
 		return nil, fmt.Errorf("dex: decode: native lib count %d too large", nLibs)
 	}
+	f.NativeLibs = presize[string](r, nLibs, minLibSize)
 	for i := uint32(0); i < nLibs && r.err == nil; i++ {
-		f.NativeLibs = append(f.NativeLibs, str(r.u32()))
+		f.NativeLibs = append(f.NativeLibs, r.str())
 	}
 
 	nClasses := r.u32()
 	if r.err == nil && nClasses > maxReasonableCount {
 		return nil, fmt.Errorf("dex: decode: class count %d too large", nClasses)
 	}
+	f.Classes = presize[Class](r, nClasses, minClassSize)
 	for i := uint32(0); i < nClasses && r.err == nil; i++ {
 		var c Class
-		c.Name = str(r.u32())
+		c.Name = r.str()
 		c.IsActivity = r.u8() == 1
 		nMethods := r.u32()
 		if r.err == nil && nMethods > maxReasonableCount {
 			return nil, fmt.Errorf("dex: decode: method count %d too large", nMethods)
 		}
+		c.Methods = presize[Method](r, nMethods, minMethodSize)
 		for j := uint32(0); j < nMethods && r.err == nil; j++ {
 			var m Method
-			m.Name = str(r.u32())
+			m.Name = r.str()
 			nCalls := r.u32()
 			if r.err == nil && nCalls > maxReasonableCount {
 				return nil, fmt.Errorf("dex: decode: call count %d too large", nCalls)
 			}
+			m.Calls = presize[CallSite](r, nCalls, minCallSize)
 			for k := uint32(0); k < nCalls && r.err == nil; k++ {
 				kind := CallKind(r.u8())
 				if r.err == nil && kind > CallLoadDex {
 					return nil, fmt.Errorf("dex: decode: invalid call kind %d", kind)
 				}
-				m.Calls = append(m.Calls, CallSite{Kind: kind, Target: str(r.u32())})
+				m.Calls = append(m.Calls, CallSite{Kind: kind, Target: r.str()})
 			}
 			c.Methods = append(c.Methods, m)
 		}
@@ -321,42 +334,76 @@ func Decode(data []byte) (*File, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if _, err := r.br.ReadByte(); err != io.EOF {
+	if r.off != len(data) {
 		return nil, errors.New("dex: decode: trailing data")
 	}
 	return &f, nil
 }
 
+// reader is a bounds-checked cursor over the encoded bytes. The first
+// failure sticks in err and turns every later read into a no-op.
 type reader struct {
-	br  *bufio.Reader
-	err error
+	data []byte
+	off  int
+	strs []string // the decoded string pool, for index lookups
+	err  error
 }
 
-func (r *reader) bytes(b []byte) {
+// next returns the following n bytes, or nil once the input is exhausted.
+func (r *reader) next(n int) []byte {
 	if r.err != nil {
-		return
+		return nil
 	}
-	if _, err := io.ReadFull(r.br, b); err != nil {
-		r.err = fmt.Errorf("dex: decode: truncated input: %w", err)
+	if n > len(r.data)-r.off {
+		cause := io.ErrUnexpectedEOF
+		if r.off == len(r.data) {
+			cause = io.EOF
+		}
+		r.err = fmt.Errorf("dex: decode: truncated input: %w", cause)
+		return nil
 	}
+	b := r.data[r.off : r.off+n : r.off+n]
+	r.off += n
+	return b
 }
 
 func (r *reader) u32() uint32 {
-	var b [4]byte
-	r.bytes(b[:])
-	if r.err != nil {
+	b := r.next(4)
+	if b == nil {
 		return 0
 	}
-	return binary.LittleEndian.Uint32(b[:])
+	return binary.LittleEndian.Uint32(b)
 }
 
 func (r *reader) u8() uint8 {
-	var b [1]byte
-	r.bytes(b[:])
-	if r.err != nil {
+	b := r.next(1)
+	if b == nil {
 		return 0
 	}
 	return b[0]
+}
+
+// str reads a u32 string index and resolves it against the pool.
+func (r *reader) str() string {
+	idx := r.u32()
+	if r.err != nil {
+		return ""
+	}
+	if int(idx) >= len(r.strs) {
+		r.err = fmt.Errorf("dex: decode: string index %d out of range (%d strings)", idx, len(r.strs))
+		return ""
+	}
+	return r.strs[idx]
+}
+
+// presize allocates a table for count records of at least minSize bytes
+// each, capped by what the unread input could hold. An empty table stays
+// nil, as appending to nil would leave it.
+func presize[T any](r *reader, count uint32, minSize int) []T {
+	if count == 0 || r.err != nil {
+		return nil
+	}
+	return make([]T, 0, min(int(count), (len(r.data)-r.off)/minSize))
 }
 
 type stringPool struct {

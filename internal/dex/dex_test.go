@@ -193,3 +193,25 @@ func randomFile(rng *rand.Rand) *File {
 	}
 	return &f
 }
+
+// TestDecodeAllocCeiling pins the slice-cursor decoder's allocation
+// budget on sample(): the File, one pool string, the index table, the lib
+// and class tables, three method tables and three non-empty call tables —
+// 11, where the streaming decoder it replaced paid 92. A per-field
+// allocation creeping back in (a scratch array escaping, a string copied
+// per name, a table grown by append) breaks the ceiling.
+func TestDecodeAllocCeiling(t *testing.T) {
+	const ceiling = 11
+	data, err := sample().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Decode(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Errorf("Decode(sample) = %v allocs, want <= %d", allocs, ceiling)
+	}
+}

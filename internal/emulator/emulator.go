@@ -250,8 +250,15 @@ func (e *Emulator) RunContext(ctx context.Context, p *behavior.Program, mk monke
 			if count == 0 {
 				continue
 			}
-			api := u.API(r.API)
-			log.Observe(r.API, count, sampleParam(rng, api))
+			// The sample is always drawn, so the random stream does not
+			// depend on the tracked set, but only formatted when the log
+			// keeps it: most draws hit untracked or saturated APIs.
+			d := drawParam(rng)
+			if log.KeepsParam(r.API) {
+				log.Observe(r.API, count, formatParam(d, u.API(r.API)))
+			} else {
+				log.Observe(r.API, count)
+			}
 		}
 		for _, r := range ab.Reflection {
 			// Reflection bypasses method hooks: invocations run,
@@ -320,18 +327,37 @@ func sensorGated(name string) bool {
 	return h%100 < 30
 }
 
-// sampleParam fabricates a plausible recorded parameter for an invocation.
-func sampleParam(rng *rand.Rand, api *framework.API) string {
-	switch rng.Intn(4) {
+// paramDraw is one recorded-parameter sample as drawn: its shape and the
+// random value the shape carries, if any.
+type paramDraw struct {
+	kind, value int
+}
+
+// drawParam consumes the random draws of one parameter sample.
+func drawParam(rng *rand.Rand) paramDraw {
+	d := paramDraw{kind: rng.Intn(4)}
+	switch d.kind {
+	case 1:
+		d.value = rng.Intn(1 << 12)
+	case 2:
+		d.value = rng.Intn(500)
+	}
+	return d
+}
+
+// formatParam renders a drawn sample as the plausible parameter string
+// the hook records for an invocation of api.
+func formatParam(d paramDraw, api *framework.API) string {
+	switch d.kind {
 	case 0:
 		return "arg=" + api.Name[max(0, len(api.Name)-12):]
 	case 1:
-		// strconv, not Sprintf: this runs per recorded invocation and the
-		// Sprintf boxing dominated the emulation-path allocation profile.
-		// Output stays byte-identical ("%x" == FormatInt base 16).
-		return "flags=0x" + strconv.FormatInt(int64(rng.Intn(1<<12)), 16)
+		// strconv, not Sprintf: the Sprintf boxing dominated the
+		// emulation-path allocation profile. Output stays byte-identical
+		// ("%x" == FormatInt base 16).
+		return "flags=0x" + strconv.FormatInt(int64(d.value), 16)
 	case 2:
-		return "uid=" + strconv.Itoa(10000+rng.Intn(500))
+		return "uid=" + strconv.Itoa(10000+d.value)
 	default:
 		return "ctx=app"
 	}

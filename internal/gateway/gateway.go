@@ -364,7 +364,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	data, err := io.ReadAll(body)
+	data, err := readUpload(body, r.ContentLength)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -402,6 +402,32 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.respond(w, r, rec, wait)
+}
+
+// uploadPresizeCap bounds what an upload's declared Content-Length may
+// reserve before any bytes arrive. Market archives fit under it, so they
+// are read with no growth copies; a larger or lying declaration costs at
+// most this much up front and grows only as bytes actually arrive.
+const uploadPresizeCap = 1 << 20
+
+// readUpload reads body to EOF into a buffer presized from the declared
+// length (-1 when unknown, as for chunked uploads), one byte past it so
+// the read that finds EOF needs no growth.
+func readUpload(body io.Reader, declared int64) ([]byte, error) {
+	buf := make([]byte, 0, min(max(declared, 0), uploadPresizeCap-1)+1)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
 
 // retryAfterSeconds turns live queue pressure into the 429 backoff hint:

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -406,6 +407,58 @@ func TestGatewayRejectsGarbage(t *testing.T) {
 	}
 	if _, resp := getStatus(t, fx.ts.URL, "nonexistent", ""); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown id: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestUploadPresizeBounded: the upload buffer is presized from the
+// declared Content-Length but never past uploadPresizeCap, a body longer
+// or shorter than declared (or of unknown length) still reads whole, and
+// the upload bound still answers 413 whatever was declared.
+func TestUploadPresizeBounded(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	data, err := readUpload(strings.NewReader("PK34567890"), 64<<20)
+	runtime.ReadMemStats(&after)
+	if err != nil || string(data) != "PK34567890" {
+		t.Fatalf("readUpload = %q, %v", data, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > uploadPresizeCap+64<<10 {
+		t.Errorf("64 MiB declaration with a 10-byte body allocated %d bytes, cap %d", got, uploadPresizeCap)
+	}
+	payload := bytes.Repeat([]byte("apk!"), 3<<18) // 3 MiB, past the cap
+	for _, declared := range []int64{10, -1, int64(len(payload)), 64 << 20} {
+		got, err := readUpload(bytes.NewReader(payload), declared)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Errorf("declared %d: read %d of %d bytes, err %v", declared, len(got), len(payload), err)
+		}
+	}
+
+	ck, corpus := trainedChecker(t)
+	fx := newFixtureWith(t, ck, vetsvc.Config{Workers: 1, QueueSize: 8}, Config{MaxUploadBytes: 1 << 20})
+	post := func(body []byte, declared int64) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/submissions?wait=30s", bytes.NewReader(body))
+		req.ContentLength = declared
+		rec := httptest.NewRecorder()
+		fx.gw.ServeHTTP(rec, req)
+		return rec
+	}
+	arch := buildAPK(t, corpus, 0)
+	for _, declared := range []int64{10, -1} {
+		rec := post(arch, declared)
+		var st SubmissionStatus
+		if err := json.NewDecoder(rec.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != http.StatusOK || st.Status != "done" || st.ID != apk.Digest(arch) {
+			t.Errorf("declared %d: status %d %+v, want the whole archive vetted", declared, rec.Code, st)
+		}
+	}
+	big := make([]byte, 2<<20)
+	big[0], big[1] = 'P', 'K'
+	for _, declared := range []int64{int64(len(big)), -1, 10} {
+		if rec := post(big, declared); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversize body declared %d: status %d, want 413", declared, rec.Code)
+		}
 	}
 }
 

@@ -111,6 +111,9 @@ func (r *Registry) OnInvoke(id framework.APIID, cb Callback) error {
 	return nil
 }
 
+// maxParams caps the parameter samples one Invocation retains.
+const maxParams = 4
+
 // Invocation is the aggregated record of one API over one emulation run.
 type Invocation struct {
 	API    framework.APIID
@@ -134,7 +137,7 @@ type Log struct {
 
 	sentIntents map[framework.IntentID]uint64
 
-	// paramSlab hands out fixed 4-slot Params windows so a full-tracking
+	// paramSlab hands out fixed maxParams-slot Params windows so a full-tracking
 	// run allocates one header chunk per ~128 recording invocations
 	// instead of one slice per invocation. Windows stay valid when the
 	// slab moves on to a fresh chunk: the old chunk lives on through the
@@ -340,14 +343,14 @@ func (l *Log) Observe(id framework.APIID, count uint64, params ...string) {
 		// Cap retained samples: logs survive whole corpus passes in the
 		// run cache, and every retained string is GC-traced for as long
 		// as the pass stays cached.
-		if len(inv.Params) < 4 {
+		if len(inv.Params) < maxParams {
 			if inv.Params == nil {
-				if cap(l.paramSlab)-len(l.paramSlab) < 4 {
+				if cap(l.paramSlab)-len(l.paramSlab) < maxParams {
 					l.paramSlab = make([]string, 0, 512)
 				}
 				off := len(l.paramSlab)
-				l.paramSlab = l.paramSlab[: off+4 : cap(l.paramSlab)]
-				inv.Params = l.paramSlab[off : off : off+4]
+				l.paramSlab = l.paramSlab[: off+maxParams : cap(l.paramSlab)]
+				inv.Params = l.paramSlab[off : off : off+maxParams]
 			}
 			inv.Params = append(inv.Params, p)
 		}
@@ -355,6 +358,18 @@ func (l *Log) Observe(id framework.APIID, count uint64, params ...string) {
 	if state[id]&callbackBit != 0 {
 		l.registry.callbacks[id](inv)
 	}
+}
+
+// KeepsParam reports whether the next Observe of id would retain a
+// parameter sample: the API is tracked and has fewer than maxParams
+// samples kept. Callers that build each sample can skip building the ones
+// Observe would drop.
+func (l *Log) KeepsParam(id framework.APIID) bool {
+	if !l.registry.Tracks(id) {
+		return false
+	}
+	inv := l.Invocation(id)
+	return inv == nil || len(inv.Params) < maxParams
 }
 
 // ObserveIntent records an intent send. Binder transactions are visible to

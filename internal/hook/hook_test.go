@@ -116,6 +116,43 @@ func TestParamSamplingCap(t *testing.T) {
 	}
 }
 
+// TestKeepsParamMatchesObserve checks KeepsParam against what Observe
+// actually retains — untracked APIs, the kept-sample cap, and a sealed
+// log's map lookup alike.
+func TestKeepsParamMatchesObserve(t *testing.T) {
+	ids := someVisible(3)
+	l := NewLog(MustNewRegistry(testU, ids[:2]))
+	untracked := ids[2]
+	check := func(id framework.APIID) {
+		t.Helper()
+		before := 0
+		if inv := l.Invocation(id); inv != nil {
+			before = len(inv.Params)
+		}
+		keeps := l.KeepsParam(id)
+		l.Observe(id, 1, "p")
+		after := 0
+		if inv := l.Invocation(id); inv != nil {
+			after = len(inv.Params)
+		}
+		if kept := after > before; kept != keeps {
+			t.Fatalf("API %d: KeepsParam = %v, Observe kept = %v", id, keeps, kept)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		check(ids[0])
+		check(untracked)
+	}
+	if l.KeepsParam(ids[0]) {
+		t.Errorf("KeepsParam true after %d samples kept", maxParams)
+	}
+	l.Seal()
+	for i := 0; i < 6; i++ {
+		check(ids[1])
+		check(ids[0])
+	}
+}
+
 func TestCallbacks(t *testing.T) {
 	ids := someVisible(2)
 	r := MustNewRegistry(testU, ids[:1])
